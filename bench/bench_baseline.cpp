@@ -71,8 +71,7 @@ void run_suite_impl(
     const epi::exp::ScenarioSpec& scenario,
     const char* const (&protocols)[N], std::uint32_t reps,
     const std::vector<epi::FlowSpec>& flows,
-    const epi::fault::FaultPlan& fault, epi::EvictionPolicy eviction,
-    const epi::SummaryCodecParams& summary,
+    const epi::exp::ProtocolOptions& options,
     const std::function<epi::metrics::RunSummary(const epi::exp::RunSpec&)>&
         run_once) {
   using clock = std::chrono::steady_clock;
@@ -90,9 +89,7 @@ void run_suite_impl(
             .load(flows.empty() ? 25 : total_load)
             .flows(flows)
             .replication(1)  // fixed: every rep times the identical run
-            .fault(fault)
-            .eviction(eviction)
-            .summary(summary)
+            .options(options)
             .build();
     double best_seconds = std::numeric_limits<double>::infinity();
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
@@ -143,11 +140,9 @@ void run_suite(std::vector<CaseResult>& results, std::string_view scenario_name,
                const epi::mobility::ContactTrace& trace,
                const char* const (&protocols)[N], std::uint32_t reps,
                const std::vector<epi::FlowSpec>& flows = {},
-               const epi::fault::FaultPlan& fault = {},
-               epi::EvictionPolicy eviction = epi::EvictionPolicy::kDropTail,
-               const epi::SummaryCodecParams& summary = {}) {
+               const epi::exp::ProtocolOptions& options = {}) {
   run_suite_impl(results, scenario_name, scenario, protocols, reps, flows,
-                 fault, eviction, summary,
+                 options,
                  [&](const epi::exp::RunSpec& spec) {
                    return epi::exp::run_single(spec, trace);
                  });
@@ -165,7 +160,6 @@ void run_suite_streamed(std::vector<CaseResult>& results,
                         const char* const (&protocols)[N], std::uint32_t reps,
                         const std::vector<epi::FlowSpec>& flows = {}) {
   run_suite_impl(results, scenario_name, scenario, protocols, reps, flows, {},
-                 epi::EvictionPolicy::kDropTail, {},
                  [&](const epi::exp::RunSpec& spec) {
                    const auto source = epi::exp::build_contact_source(
                        scenario, 42);
@@ -274,27 +268,31 @@ int main(int argc, char** argv) {
                                                .duty_cycle(0.25, 7'200.0)
                                                .control_loss(0.2)
                                                .build();
+  epi::exp::ProtocolOptions faulted;
+  faulted.fault = fault_plan;
   run_suite(results, "trace+fault", trace_spec, trace, kTraceProtocols, reps,
-            {}, fault_plan);
+            {}, faulted);
   run_suite(results, "rwp+fault", rwp_spec, rwp, kRwpProtocols, reps, {},
-            fault_plan);
+            faulted);
   // Eviction-policy suite (guarded as "new" by compare_bench.py until the
   // committed baseline carries it): drop-oldest on the trace scenario, where
   // buffer pressure is highest and the non-default admission path actually
   // runs. One protocol family without its own admission rule keeps the row
   // cheap while exercising the generic Protocol::make_room eviction.
   constexpr const char* kEvictionProtocols[] = {"pure_epidemic"};
+  epi::exp::ProtocolOptions drop_oldest;
+  drop_oldest.eviction = epi::EvictionPolicy::kDropOldest;
   run_suite(results, "trace+dropoldest", trace_spec, trace, kEvictionProtocols,
-            reps, {}, {}, epi::EvictionPolicy::kDropOldest);
+            reps, {}, drop_oldest);
   // Compact-advertisement suite (guarded as "new" by compare_bench.py until
   // the committed baseline carries it): the Bloom codec at its 8 bits/bundle
   // default on the trace scenario, exercising the per-slot re-advertisement
   // path and the FP-suppression counter for every protocol family.
-  epi::SummaryCodecParams bloom8;
-  bloom8.mode = epi::SummaryMode::kBloom;
-  bloom8.filter_bits = 8;
+  epi::exp::ProtocolOptions bloom8;
+  bloom8.summary.mode = epi::SummaryMode::kBloom;
+  bloom8.summary.filter_bits = 8;
   run_suite(results, "trace+bloom8", trace_spec, trace, kTraceProtocols, reps,
-            {}, {}, epi::EvictionPolicy::kDropTail, bloom8);
+            {}, bloom8);
   // Large-N stress entries (multi-flow; see exp::large_scenario): the cases
   // where per-contact exchange-set costs dominate instead of hiding.
   for (const std::uint32_t n : {128u, 512u}) {

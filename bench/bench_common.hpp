@@ -1,10 +1,12 @@
 // Shared CLI scaffolding for the figure-reproduction benches.
 //
-// Every binary accepts:
+// Every binary parses these flags; one that cannot act on a flag rejects it
+// (exit 2) instead of ignoring it:
 //   --reps N            replications per load point (default 10, the paper's)
 //   --seed S            master seed (default 42)
 //   --threads T         worker threads (default: hardware concurrency)
-//   --csv               additionally dump machine-readable CSV
+//   --csv               additionally dump machine-readable CSV (fleet
+//                       mode: write <id>.csv next to each <id>.json)
 //   --trace-out=FILE    stream one JSONL record per engine event to FILE
 //   --perf              live progress line on stderr + perf totals at the end
 //   --chrome-trace=FILE write per-replication spans (chrome://tracing format)
@@ -42,9 +44,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <initializer_list>
 #include <iostream>
-#include <stdexcept>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -71,6 +74,7 @@ struct Args {
   std::string store_dir = "results/runstore";  ///< empty = store off
   bool store_stats = false;
   std::size_t store_shards = 8;  ///< shard count for new segments
+  std::vector<std::string> flags;  ///< every flag given, in order
 };
 
 /// Parses a full unsigned decimal value; exits 2 on anything else (empty,
@@ -91,7 +95,7 @@ inline T parse_unsigned(std::string_view flag, std::string_view value) {
 
 inline Args parse_args(int argc, char** argv) {
   Args args;
-  std::vector<std::string_view> seen;
+  exp::ProtocolOptions& block = args.options.options;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     // Split `--flag=VALUE` into flag and inline value.
@@ -105,12 +109,13 @@ inline Args parse_args(int argc, char** argv) {
     // A repeated flag is a hard error, not a silent last-one-wins: the two
     // occurrences usually carry different values, and guessing which one the
     // user meant mis-runs a potentially hours-long sweep.
-    if (std::find(seen.begin(), seen.end(), arg) != seen.end()) {
+    if (std::find(args.flags.begin(), args.flags.end(), arg) !=
+        args.flags.end()) {
       std::cerr << "duplicate flag " << arg
                 << ": each flag may be given at most once\n";
       std::exit(2);
     }
-    seen.push_back(arg);
+    args.flags.emplace_back(arg);
     const auto next = [&]() -> std::string {
       if (has_inline) return std::string(inline_value);
       if (i + 1 >= argc) {
@@ -118,6 +123,15 @@ inline Args parse_args(int argc, char** argv) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    // An output file flag with an empty name would silently write nothing.
+    const auto file = [&]() {
+      std::string name = next();
+      if (name.empty()) {
+        std::cerr << arg << " needs a file name\n";
+        std::exit(2);
+      }
+      return name;
     };
     // Boolean flags take no value; `--csv=nonsense` is a user error, not an
     // enable.
@@ -140,15 +154,11 @@ inline Args parse_args(int argc, char** argv) {
     } else if (arg == "--perf") {
       args.perf = boolean();
     } else if (arg == "--trace-out") {
-      args.trace_out = next();
+      args.trace_out = file();
     } else if (arg == "--chrome-trace") {
-      args.chrome_out = next();
+      args.chrome_out = file();
     } else if (arg == "--stats-out") {
-      args.stats_out = next();
-      if (args.stats_out.empty()) {
-        std::cerr << "--stats-out needs a file name\n";
-        std::exit(2);
-      }
+      args.stats_out = file();
     } else if (arg == "--store") {
       args.store_dir = next();
       if (args.store_dir.empty()) {
@@ -170,30 +180,28 @@ inline Args parse_args(int argc, char** argv) {
       args.options.claim_units = boolean();
     } else if (arg == "--evict") {
       try {
-        args.options.eviction = eviction_policy_from_string(next());
+        block.eviction = eviction_policy_from_string(next());
       } catch (const std::exception& e) {
         std::cerr << "invalid value for --evict: " << e.what() << "\n";
         std::exit(2);
       }
     } else if (arg == "--summary-mode") {
       try {
-        args.options.summary.mode = summary_mode_from_string(next());
+        block.summary.mode = summary_mode_from_string(next());
       } catch (const std::exception& e) {
         std::cerr << "invalid value for --summary-mode: " << e.what() << "\n";
         std::exit(2);
       }
     } else if (arg == "--filter-bits") {
-      args.options.summary.filter_bits =
-          parse_unsigned<std::uint32_t>(arg, next());
-      if (args.options.summary.filter_bits == 0 ||
-          args.options.summary.filter_bits > 64) {
+      block.summary.filter_bits = parse_unsigned<std::uint32_t>(arg, next());
+      if (block.summary.filter_bits == 0 || block.summary.filter_bits > 64) {
         std::cerr << "--filter-bits must be in 1..64 (bits per buffered "
                      "bundle)\n";
         std::exit(2);
       }
     } else if (arg == "--filter-hashes") {
-      args.options.summary.hashes = parse_unsigned<std::uint32_t>(arg, next());
-      if (args.options.summary.hashes > 16) {
+      block.summary.hashes = parse_unsigned<std::uint32_t>(arg, next());
+      if (block.summary.hashes > 16) {
         std::cerr << "--filter-hashes must be in 0..16 (0 derives the "
                      "FP-optimal count)\n";
         std::exit(2);
@@ -216,6 +224,30 @@ inline Args parse_args(int argc, char** argv) {
   return args;
 }
 
+/// Exits 2 when a flag this binary cannot honour was given: a dropped flag
+/// must never look like a run that honoured it.
+inline void reject_flags(const Args& args,
+                         std::initializer_list<std::string_view> unsupported) {
+  for (const std::string& flag : args.flags) {
+    if (std::find(unsupported.begin(), unsupported.end(), flag) !=
+        unsupported.end()) {
+      std::cerr << flag << " is not supported by this binary\n";
+      std::exit(2);
+    }
+  }
+}
+
+/// Exits 2 on any flag outside `honoured` (binaries that read only a few).
+inline void accept_only(const Args& args,
+                        std::initializer_list<std::string_view> honoured) {
+  for (const std::string& flag : args.flags) {
+    if (std::find(honoured.begin(), honoured.end(), flag) == honoured.end()) {
+      std::cerr << flag << " is not supported by this binary\n";
+      std::exit(2);
+    }
+  }
+}
+
 /// Owns the sinks a bench wires into FigureOptions, so `run(options)` can
 /// trace without every bench managing sink lifetime itself.
 struct Observability {
@@ -225,7 +257,7 @@ struct Observability {
   std::unique_ptr<store::RunStore> store;
   std::unique_ptr<store::SigintDrain> sigint;
   bool store_stats = false;
-  std::string stats_out;  ///< where figure_main writes the stats document
+  std::string stats_out;  ///< where bench_main writes the stats document
 
   /// Instantiates the sinks the flags ask for and points `args.options` at
   /// them. Throws std::runtime_error when an output file cannot be opened.
@@ -326,34 +358,41 @@ inline void print_perf(std::ostream& out, const exp::Figure& figure) {
       << " transfers/contact\n";
 }
 
-/// Runs one figure bench: executes the experiment, prints the table, then a
-/// note stating the paper's shape claim for eyeball comparison.
-inline int figure_main(int argc, char** argv,
-                       const std::function<exp::Figure(
-                           const exp::FigureOptions&)>& run,
-                       std::string_view paper_claim) {
-  Args args = parse_args(argc, argv);
+/// Runs a bench under the shared flags: attaches the sinks and the store
+/// the flags ask for, runs `body` (which prints its own tables and returns
+/// the figures it ran), then prints the --perf totals, writes the
+/// --stats-out document (a JSON array when there are several figures),
+/// flushes the sinks and prints `epilogue`. Returns the exit code: 0, 1 on
+/// any error, 130 after a Ctrl-C drain.
+inline int bench_main(
+    Args& args,
+    const std::function<std::vector<exp::Figure>(const exp::FigureOptions&)>&
+        body,
+    std::string_view epilogue = {}) {
   Observability observability;
   try {
     observability.attach(args);
-    const exp::Figure figure = run(args.options);
-    exp::print_figure(std::cout, figure);
-    if (args.csv) {
-      std::cout << "\n";
-      exp::print_figure_csv(std::cout, figure);
+    const std::vector<exp::Figure> figures = body(args.options);
+    if (args.perf) {
+      for (const exp::Figure& figure : figures) print_perf(std::cout, figure);
     }
-    if (args.perf) print_perf(std::cout, figure);
     if (!observability.stats_out.empty()) {
       std::ofstream stats_file(observability.stats_out);
       if (!stats_file) {
         throw std::runtime_error("cannot open --stats-out file: " +
                                  observability.stats_out);
       }
-      exp::write_stats_json(stats_file, figure);
+      const bool array = figures.size() != 1;
+      if (array) stats_file << "[";
+      for (std::size_t i = 0; i < figures.size(); ++i) {
+        if (i > 0) stats_file << ",";
+        exp::write_stats_json(stats_file, figures[i]);
+      }
+      if (array) stats_file << "]\n";
       std::cout << "stats profile: " << observability.stats_out << "\n";
     }
     observability.finish(std::cout);
-    std::cout << "\npaper shape: " << paper_claim << "\n\n";
+    std::cout << epilogue;
   } catch (const exp::SweepInterrupted&) {
     // The drain already persisted every completed run; rerunning the same
     // command serves those from the store and computes only the rest.
@@ -371,10 +410,27 @@ inline int figure_main(int argc, char** argv,
   return 0;
 }
 
-/// Registry-driven figure bench: same output, claim sourced from the
-/// FigureSpec. The legacy bench_figXX binaries are thin wrappers over this.
+/// Prints a figure's table, plus its CSV under --csv.
+inline void print_figure_table(const Args& args, const exp::Figure& figure) {
+  exp::print_figure(std::cout, figure);
+  if (args.csv) {
+    std::cout << "\n";
+    exp::print_figure_csv(std::cout, figure);
+  }
+}
+
+/// Registry-driven figure bench: runs one figure, prints it, then a note
+/// stating the paper's shape claim for eyeball comparison.
 inline int figure_main(int argc, char** argv, const exp::FigureSpec& spec) {
-  return figure_main(argc, argv, spec.run, spec.paper_claim);
+  Args args = parse_args(argc, argv);
+  return bench_main(
+      args,
+      [&](const exp::FigureOptions& options) {
+        std::vector<exp::Figure> figures{spec.run(options)};
+        print_figure_table(args, figures.front());
+        return figures;
+      },
+      "\npaper shape: " + std::string(spec.paper_claim) + "\n\n");
 }
 
 }  // namespace epi::bench

@@ -9,11 +9,11 @@
 //                                       queue, fork N worker processes that
 //                                       partition it through the shared run
 //                                       store, and write one
-//                                       <DIR>/<id>.json per figure
+//                                       <DIR>/<id>.json per figure (and,
+//                                       with --csv, <DIR>/<id>.csv)
 //
 // `--fig fig07`, `--fig 07` and `--fig 7` are equivalent; robustness sweeps
-// use their full ids (e.g. --fig robust_trace_delivery). Output is byte-
-// identical to the legacy bench_figXX binary of the same figure.
+// use their full ids (e.g. --fig robust_trace_delivery).
 //
 // Fleet mode details:
 //   * The queue defaults to the paper's 14 figures; `--only fig07,fig08`
@@ -99,8 +99,26 @@ std::vector<const FigureSpec*> resolve_queue(const std::string& only) {
   return queue;
 }
 
+/// Writes `path` through a pid-suffixed temp file and a rename, so a
+/// half-written file is never mistaken for a finished one.
+void write_atomically(const fs::path& path,
+                      const std::function<void(std::ostream&)>& print) {
+  const fs::path tmp = path.string() + ".tmp-" + std::to_string(getpid());
+  {
+    std::ofstream out(tmp, std::ios::trunc);
+    if (!out) throw std::runtime_error("cannot write " + tmp.string());
+    print(out);
+    if (!out.flush()) {
+      throw std::runtime_error("short write to " + tmp.string());
+    }
+  }
+  fs::rename(tmp, path);
+  std::cout << "wrote " + path.string() + "\n" << std::flush;
+}
+
 /// One worker process: claim figures off the queue, run each, write its
-/// JSON atomically. Returns a process exit code.
+/// CSV (under --csv) and then its JSON atomically; the JSON marks the
+/// figure done. Returns a process exit code.
 int fleet_worker(epi::bench::Args args,
                  const std::vector<const FigureSpec*>& queue,
                  const fs::path& out_dir, const fs::path& marker_dir,
@@ -137,21 +155,17 @@ int fleet_worker(epi::bench::Args args,
           if (fs::exists(json_path)) continue;  // finished while we raced
         }
         const exp::Figure figure = spec->run(args.options);
-        const fs::path tmp =
-            out_dir / (std::string(spec->id) + ".json.tmp-" +
-                       std::to_string(getpid()));
-        {
-          std::ofstream out(tmp, std::ios::trunc);
-          if (!out) {
-            throw std::runtime_error("cannot write " + tmp.string());
-          }
-          exp::print_figure_json(out, figure);
-          if (!out.flush()) {
-            throw std::runtime_error("short write to " + tmp.string());
-          }
+        if (args.csv) {
+          write_atomically(out_dir / (std::string(spec->id) + ".csv"),
+                           [&](std::ostream& out) {
+                             out << "# " << figure.title << "\n# metric: "
+                                 << exp::metric_name(figure.metric) << "\n";
+                             exp::print_figure_csv(out, figure);
+                           });
         }
-        fs::rename(tmp, json_path);
-        std::cout << "wrote " + json_path.string() + "\n" << std::flush;
+        write_atomically(json_path, [&](std::ostream& out) {
+          exp::print_figure_json(out, figure);
+        });
         progressed = true;
       }
       if (!all_done && !progressed) {
@@ -243,6 +257,10 @@ std::size_t count_done(const std::vector<const FigureSpec*>& queue,
 int fleet_main(const FleetArgs& fleet, epi::bench::Args args) {
   const std::vector<const FigureSpec*> queue = resolve_queue(fleet.only);
   const fs::path out_dir = fleet.out;
+  if (!args.stats_out.empty()) {
+    std::cerr << "--stats-out captures one figure; use it with --fig\n";
+    return 2;
+  }
   if (fleet.jobs > 1) {
     if (args.store_dir.empty()) {
       std::cerr << "--jobs " << fleet.jobs
@@ -250,10 +268,9 @@ int fleet_main(const FleetArgs& fleet, epi::bench::Args args) {
                    "(drop --no-store)\n";
       return 2;
     }
-    if (!args.trace_out.empty() || !args.chrome_out.empty() ||
-        !args.stats_out.empty()) {
-      std::cerr << "--trace-out/--chrome-trace/--stats-out are per-process "
-                   "outputs and are not supported with --jobs > 1\n";
+    if (!args.trace_out.empty() || !args.chrome_out.empty()) {
+      std::cerr << "--trace-out/--chrome-trace are per-process outputs and "
+                   "are not supported with --jobs > 1\n";
       return 2;
     }
   }

@@ -6,6 +6,8 @@
 // For each replication's flow, the time-respecting earliest-arrival oracle
 // gives the optimum time to deliver one bundle; the measured mean bundle
 // delay at load 5 (little buffer contention) is compared against it.
+//
+// Reads only --seed and --reps; any other shared bench flag exits 2.
 #include <iomanip>
 #include <iostream>
 #include <vector>
@@ -17,6 +19,7 @@
 int main(int argc, char** argv) {
   using namespace epi;
   const bench::Args args = bench::parse_args(argc, argv);
+  bench::accept_only(args, {"--seed", "--reps"});
   try {
     for (const bool rwp : {false, true}) {
       const exp::ScenarioSpec scenario =

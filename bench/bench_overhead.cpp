@@ -45,12 +45,12 @@ double timed_sweep_seconds(const epi::exp::SweepSpec& spec,
 
 int stats_overhead_main(const epi::bench::Args& args, double max_slowdown,
                         double max_event_ns) {
-  epi::exp::SweepSpec spec;
+  // Timing needs every run simulated here and now: no store, no sinks.
+  epi::bench::accept_only(args, {"--reps", "--seed"});
+  epi::exp::SweepSpec spec(args.options);
   spec.scenario = epi::exp::trace_scenario();
   spec.protocol = epi::exp::immunity_params();  // control + data plane busy
   spec.loads = {25};
-  spec.replications = args.options.replications;
-  spec.master_seed = args.options.master_seed;
   spec.threads = 1;  // serial: wall time is the hot path, not the pool
   const epi::mobility::ContactTrace trace =
       epi::exp::build_contact_trace(spec.scenario, spec.master_seed);
@@ -141,30 +141,32 @@ int main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  const epi::bench::Args args =
+  epi::bench::Args args =
       epi::bench::parse_args(static_cast<int>(rest.size()), rest.data());
-  try {
-    if (stats_overhead) {
+  if (stats_overhead) {
+    try {
       return stats_overhead_main(args, max_slowdown, max_event_ns);
+    } catch (const std::exception& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 1;
     }
-    for (const bool rwp : {false, true}) {
-      const epi::exp::Figure figure = epi::exp::run_overhead(args.options, rwp);
-      epi::exp::print_figure(std::cout, figure);
-      if (args.csv) {
-        std::cout << "\n";
-        epi::exp::print_figure_csv(std::cout, figure);
-      }
-      const double imm = figure.series_mean(figure.series("Immunity"));
-      const double cum = figure.series_mean(figure.series("CumImmunity"));
-      std::cout << "overhead ratio (immunity / cumulative): "
-                << (cum > 0.0 ? imm / cum : 0.0) << "x\n\n";
-    }
-    std::cout << "paper shape: cumulative immunity incurs an order of "
-                 "magnitude less signaling\noverhead than per-bundle "
-                 "immunity tables, growing with load.\n\n";
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
   }
-  return 0;
+  return epi::bench::bench_main(
+      args,
+      [&](const epi::exp::FigureOptions& options) {
+        std::vector<epi::exp::Figure> figures;
+        for (const bool rwp : {false, true}) {
+          const epi::exp::Figure& figure =
+              figures.emplace_back(epi::exp::run_overhead(options, rwp));
+          epi::bench::print_figure_table(args, figure);
+          const double imm = figure.series_mean(figure.series("Immunity"));
+          const double cum = figure.series_mean(figure.series("CumImmunity"));
+          std::cout << "overhead ratio (immunity / cumulative): "
+                    << (cum > 0.0 ? imm / cum : 0.0) << "x\n\n";
+        }
+        return figures;
+      },
+      "paper shape: cumulative immunity incurs an order of magnitude less "
+      "signaling\noverhead than per-bundle immunity tables, growing with "
+      "load.\n\n");
 }

@@ -2,6 +2,7 @@
 // (the role the paper's Table I plays for prior work). For each mobility
 // input: contact counts, duration and inter-contact distributions, slot
 // budget, time-respecting connectivity and the oracle delay scale.
+// Reads only --seed; any other shared bench flag exits 2.
 #include <iomanip>
 #include <iostream>
 
@@ -12,6 +13,7 @@
 int main(int argc, char** argv) {
   using namespace epi;
   const bench::Args args = bench::parse_args(argc, argv);
+  bench::accept_only(args, {"--seed"});
   try {
     std::cout << "== scenario characterisation (seed "
               << args.options.master_seed << ") ==\n\n";

@@ -1,32 +1,21 @@
 // Seed sensitivity: the mobility inputs are synthetic, so every conclusion
 // must survive regenerating them. Reruns the Table-II-style sweep averages
 // under several master seeds and checks the paper's headline orderings on
-// each.
+// each. Sweeps its own seeds, so it rejects --seed (and --csv, --perf and
+// --stats-out, which it has no figure for); every other shared flag applies.
 #include <iomanip>
 #include <iostream>
 
 #include "bench_common.hpp"
 #include "exp/sweep.hpp"
 
-namespace {
-
-struct Row {
-  double ttl = 0.0;
-  double dyn = 0.0;
-  double ec = 0.0;
-  double ecttl = 0.0;
-  double imm = 0.0;
-  double cum = 0.0;
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace epi;
-  const bench::Args args = bench::parse_args(argc, argv);
-  try {
+  bench::Args args = bench::parse_args(argc, argv);
+  bench::reject_flags(args, {"--seed", "--csv", "--perf", "--stats-out"});
+  return bench::bench_main(args, [](const exp::FigureOptions& options) {
     std::cout << "== seed sensitivity of the headline orderings (trace, "
-              << args.options.replications << " reps each) ==\n\n"
+              << options.replications << " reps each) ==\n\n"
               << std::left << std::setw(8) << "seed" << std::right
               << std::setw(12) << "dyn>TTL" << std::setw(14) << "ECTTL<=EC buf"
               << std::setw(13) << "cum<=imm buf" << std::setw(13)
@@ -37,10 +26,9 @@ int main(int argc, char** argv) {
     for (const std::uint64_t seed : seeds) {
       const auto sweep_mean = [&](ProtocolParams params,
                                   bool buffer) -> double {
-        exp::SweepSpec spec;
+        exp::SweepSpec spec(options);
         spec.scenario = exp::trace_scenario();
         spec.protocol = params;
-        spec.replications = args.options.replications;
         spec.master_seed = seed;
         const exp::SweepResult result = exp::run_sweep(spec);
         double sum = 0.0;
@@ -74,9 +62,6 @@ int main(int argc, char** argv) {
     }
     std::cout << "\n" << all_hold << "/" << std::size(seeds)
               << " seeds reproduce all four headline orderings.\n\n";
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
+    return std::vector<exp::Figure>{};
+  });
 }

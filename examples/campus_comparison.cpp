@@ -19,8 +19,10 @@
 int main(int argc, char** argv) {
   using namespace epi;
 
-  const auto replications =
-      argc > 1 ? static_cast<std::uint32_t>(std::atoi(argv[1])) : 10u;
+  exp::SweepBase base;
+  if (argc > 1) {
+    base.replications = static_cast<std::uint32_t>(std::atoi(argv[1]));
+  }
 
   struct Candidate {
     const char* name;
@@ -45,11 +47,10 @@ int main(int argc, char** argv) {
     }
 
     std::cout << "running " << candidates.size() << " protocols x "
-              << exp::paper_loads().size() << " loads x " << replications
+              << exp::paper_loads().size() << " loads x " << base.replications
               << " replications on the campus trace...\n\n";
     const auto results =
-        exp::run_sweeps(exp::trace_scenario(), protocols, /*master_seed=*/42,
-                        replications);
+        exp::run_sweeps(exp::trace_scenario(), protocols, base);
 
     struct Row {
       const char* name;

@@ -1,28 +1,31 @@
 #!/usr/bin/env bash
-# Store-resume smoke test: SIGKILL a sweep mid-flight, rerun it, and prove
+# Store-resume smoke test: SIGKILL a sweep of the paper's 14 figures
+# mid-flight, rerun it, and prove
 #   1. the rerun resumes from the persistent run store (simulates only the
 #      missing runs),
 #   2. the resumed figure JSON is byte-identical to an uninterrupted run,
 #   3. a third, fully-cached rerun does zero simulation work.
+# Each rerun first removes results/: fleet mode skips any figure whose JSON
+# already exists, and every rerun here must regenerate all of them.
 #
-# Usage: store_resume_smoke.sh BENCH_EXPORT_BINARY [WORK_DIR]
+# Usage: store_resume_smoke.sh BENCH_FIGURE_BINARY [WORK_DIR]
 set -euo pipefail
 
-bench_export=$(readlink -f "$1")
+bench_figure=$(readlink -f "$1")
 work=${2:-$(mktemp -d)}
 reps=30         # enough work that a 1-second SIGKILL lands mid-sweep
 kill_after=1
+run=("$bench_figure" --all --jobs 1 --out results --reps "$reps" --store=store)
 
 mkdir -p "$work/ref" "$work/resume"
 
 echo "== reference run (uninterrupted) =="
-(cd "$work/ref" && "$bench_export" --reps "$reps" --store=store >/dev/null)
+(cd "$work/ref" && "${run[@]}" >/dev/null)
 
 echo "== interrupted run (SIGKILL after ${kill_after}s) =="
 set +e
 (cd "$work/resume" &&
- timeout -s KILL "$kill_after" "$bench_export" --reps "$reps" --store=store \
-     >/dev/null 2>&1)
+ timeout -s KILL "$kill_after" "${run[@]}" >/dev/null 2>&1)
 status=$?
 set -e
 if [ "$status" -ne 137 ]; then
@@ -38,9 +41,8 @@ if [ "$partial" -eq 0 ]; then
 fi
 
 echo "== resumed run =="
-resume_stats=$(cd "$work/resume" &&
-  "$bench_export" --reps "$reps" --store=store --store-stats |
-  grep -F '[store]')
+resume_stats=$(cd "$work/resume" && rm -rf results &&
+  "${run[@]}" --store-stats | grep -F '[store]')
 echo "$resume_stats"
 case "$resume_stats" in
   *" 0 simulated"*)
@@ -64,9 +66,8 @@ done
 echo "$count figure file(s) byte-identical"
 
 echo "== fully-cached rerun must do zero simulation =="
-cached_stats=$(cd "$work/resume" &&
-  "$bench_export" --reps "$reps" --store=store --store-stats |
-  grep -F '[store]')
+cached_stats=$(cd "$work/resume" && rm -rf results &&
+  "${run[@]}" --store-stats | grep -F '[store]')
 echo "$cached_stats"
 case "$cached_stats" in
   *" 0 simulated, 0 appended"*) ;;

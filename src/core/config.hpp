@@ -62,8 +62,8 @@ struct ProtocolParams {
   /// bundle" (SIII): EC+TTL only evicts copies transmitted at least this
   /// many times. The default (1) protects exactly the never-transmitted
   /// copies; raise it to protect under-duplicated bundles more aggressively
-  /// (see bench_ablation_ecthreshold for the trade-off: large values choke
-  /// injection at the source).
+  /// (see the ablation_ecthr study in bench_ablation for the trade-off:
+  /// large values choke injection at the source).
   std::uint32_t ec_min_evict = 1;
 
   // --- immunity (per-bundle i-lists / anti-packets) ---

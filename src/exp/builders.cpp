@@ -26,7 +26,7 @@ RunSpecBuilder& RunSpecBuilder::protocol(const ProtocolParams& params) {
 RunSpecBuilder& RunSpecBuilder::scenario(const ScenarioSpec& spec) {
   spec_.horizon = spec.horizon();
   spec_.session_gap = spec.session_gap;
-  spec_.options.node_capacities = spec.node_capacities;
+  scenario_caps_ = spec.node_capacities;
   scenario_gap_ = true;
   return *this;
 }
@@ -133,8 +133,22 @@ RunSpec RunSpecBuilder::build() const {
         spec_.session_gap, spec_.slot_seconds);
     throw ConfigError(msg);
   }
-  spec_.options.validate();
-  return spec_;
+  RunSpec spec = spec_;
+  // Capacities may come from the scenario or from the option block; either
+  // one alone applies, and two different vectors are a conflict rather than
+  // a silent last-writer-wins.
+  if (!scenario_caps_.empty()) {
+    std::vector<std::uint32_t>& caps = spec.options.node_capacities;
+    if (caps.empty()) {
+      caps = scenario_caps_;
+    } else if (caps != scenario_caps_) {
+      throw ConfigError(
+          "node_capacities set by both the scenario and the option block, "
+          "with different values; set them in one place");
+    }
+  }
+  spec.options.validate();
+  return spec;
 }
 
 ScenarioSpecBuilder::ScenarioSpecBuilder(ScenarioSpec base)

@@ -21,8 +21,8 @@ namespace epi::exp {
 /// Builds a validated RunSpec. Throws ConfigError on: horizon <= 0,
 /// slot_seconds <= 0, session_gap <= 0, buffer_capacity == 0, a
 /// session_gap below slot_seconds (unless the gap came from a ScenarioSpec
-/// via scenario(), which sanctions the paper's isolated-contact setups), or
-/// an invalid fault plan.
+/// via scenario(), which sanctions the paper's isolated-contact setups),
+/// conflicting per-node capacities, or an invalid option block.
 class RunSpecBuilder {
  public:
   RunSpecBuilder& protocol(const ProtocolParams& params);
@@ -30,7 +30,9 @@ class RunSpecBuilder {
   /// Adopts the scenario's horizon, session gap and per-node capacities. A
   /// scenario-derived gap may be below slot_seconds: the controlled-interval
   /// scenarios (Fig. 14) deliberately use a sub-slot gap so each isolated
-  /// contact counts as its own encounter session.
+  /// contact counts as its own encounter session. The capacities are merged
+  /// at build(): they apply unless the option block sets its own, and
+  /// build() throws ConfigError when both are set and differ.
   RunSpecBuilder& scenario(const ScenarioSpec& spec);
 
   RunSpecBuilder& load(std::uint32_t bundles);
@@ -61,7 +63,8 @@ class RunSpecBuilder {
 
   /// Replaces the whole consolidated option block at once (eviction,
   /// capacities, fault plan, summary codec); the per-member setters above
-  /// remain the fine-grained path and compose with it in call order.
+  /// remain the fine-grained path and compose with it in call order. The
+  /// scenario's capacities are kept apart and merged at build().
   RunSpecBuilder& options(ProtocolOptions block);
 
   RunSpecBuilder& trace_sink(obs::TraceSink* sink);
@@ -73,6 +76,7 @@ class RunSpecBuilder {
 
  private:
   RunSpec spec_;
+  std::vector<std::uint32_t> scenario_caps_;  ///< from scenario()
   bool scenario_gap_ = false;  ///< gap came from scenario(): sub-slot OK
 };
 

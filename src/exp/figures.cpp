@@ -5,14 +5,12 @@
 #include <iomanip>
 #include <map>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <utility>
 
-#include "exp/builders.hpp"
+#include "core/error.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
-#include "exp/thread_pool.hpp"
 #include "obs/progress.hpp"
 
 namespace epi::exp {
@@ -87,16 +85,27 @@ std::unique_ptr<obs::ProgressReporter> make_progress(
   return reporter;
 }
 
-}  // namespace
+/// The x axis of a figure. On the paper's load axis (`apply` unset) each
+/// series is one sweep over every load. Any other axis pins the load and
+/// runs one sweep per (series, point), `apply` setting the swept knob; the
+/// points concatenate into one series whose `loads` carry the axis values.
+struct Axis {
+  std::string name = "load";
+  std::vector<std::uint32_t> points;  ///< empty on the load axis: paper's
+  std::uint32_t load = 0;             ///< the pinned load off the load axis
+  void (*apply)(SweepSpec& spec, std::uint32_t point) = nullptr;
+};
 
-Figure run_figure(std::string id, std::string title, Metric metric,
-                  std::vector<SeriesDef> series,
-                  const FigureOptions& options,
-                  std::vector<std::uint32_t> loads) {
+/// The one figure driver: every figure, whatever its axis, runs here.
+Figure run_axis_figure(std::string id, std::string title, Metric metric,
+                       const std::vector<SeriesDef>& series,
+                       const FigureOptions& options, Axis axis) {
   Figure figure;
   figure.id = std::move(id);
   figure.title = std::move(title);
   figure.metric = metric;
+  figure.axis = axis.name;
+  if (axis.points.empty()) axis.points = paper_loads();
 
   // Each distinct mobility input is built at most once, on first need, and
   // shared by every series over the same scenario (paper SIV: one trace,
@@ -105,45 +114,59 @@ Figure run_figure(std::string id, std::string title, Metric metric,
   // is most of the wall time of a cached figure.
   std::map<std::string, mobility::ContactTrace> traces;
 
-  const std::size_t load_points =
-      loads.empty() ? paper_loads().size() : loads.size();
-  std::unique_ptr<obs::ProgressReporter> progress = make_progress(
-      options, figure.id, series.size() * load_points * options.replications);
+  std::unique_ptr<obs::ProgressReporter> progress =
+      make_progress(options, figure.id,
+                    series.size() * axis.points.size() * options.replications);
 
-  for (auto& def : series) {
-    SweepSpec spec;
+  for (const SeriesDef& def : series) {
+    SweepSpec spec(options);
     spec.scenario = def.scenario;
     spec.protocol = def.protocol;
-    spec.loads = loads;
-    spec.replications = options.replications;
-    spec.master_seed = options.master_seed;
-    spec.threads = options.threads;
-    spec.trace_sink = options.trace_sink;
-    spec.chrome = options.chrome;
     spec.progress = progress.get();
-    spec.collect_stats = options.collect_stats;
-    spec.store = options.store;
-    spec.claim_units = options.claim_units;
-    spec.eviction = options.eviction;
-    spec.summary = options.summary;
+    if (def.eviction.has_value()) spec.options.eviction = *def.eviction;
+    const TraceProvider provider =
+        [&traces, &def,
+         seed = options.master_seed]() -> const mobility::ContactTrace& {
+      auto it = traces.find(def.scenario.name);
+      if (it == traces.end()) {
+        it = traces
+                 .emplace(def.scenario.name,
+                          build_contact_trace(def.scenario, seed))
+                 .first;
+      }
+      return it->second;
+    };
 
-    const ScenarioSpec& scenario = def.scenario;
     figure.labels.push_back(def.label);
-    figure.results.push_back(run_sweep_on(
-        spec,
-        TraceProvider([&traces, &scenario, seed = options.master_seed]()
-                          -> const mobility::ContactTrace& {
-          auto it = traces.find(scenario.name);
-          if (it == traces.end()) {
-            it = traces
-                     .emplace(scenario.name,
-                              build_contact_trace(scenario, seed))
-                     .first;
-          }
-          return it->second;
-        })));
+    if (axis.apply == nullptr) {
+      spec.loads = axis.points;
+      figure.results.push_back(run_sweep_on(spec, provider));
+      continue;
+    }
+    SweepResult row;
+    row.scenario_name = def.scenario.name;
+    row.protocol = def.protocol;
+    spec.loads = {axis.load};
+    for (const std::uint32_t point : axis.points) {
+      axis.apply(spec, point);
+      SweepResult one = run_sweep_on(spec, provider);
+      row.loads.push_back(point);
+      row.points.push_back(std::move(one.points.front()));
+      row.runs.push_back(std::move(one.runs.front()));
+    }
+    figure.results.push_back(std::move(row));
   }
   return figure;
+}
+
+}  // namespace
+
+Figure run_figure(std::string id, std::string title, Metric metric,
+                  std::vector<SeriesDef> series,
+                  const FigureOptions& options,
+                  std::vector<std::uint32_t> loads) {
+  return run_axis_figure(std::move(id), std::move(title), metric, series,
+                         options, {.points = std::move(loads)});
 }
 
 // --- figure definitions ---------------------------------------------------------
@@ -163,6 +186,19 @@ std::vector<SeriesDef> existing_protocols(const ScenarioSpec& scenario,
   }
   series.push_back({"EC", scenario, ec_params()});
   return series;
+}
+
+/// Every protocol family: the SV-A originals plus every SV-B enhancement.
+std::vector<SeriesDef> all_families(const ScenarioSpec& scenario) {
+  return {
+      {"P-Q epidemic", scenario, pq_params(1.0, 1.0)},
+      {"TTL=300", scenario, fixed_ttl_params()},
+      {"dynamic TTL", scenario, dynamic_ttl_params()},
+      {"EC", scenario, ec_params()},
+      {"EC+TTL", scenario, ec_ttl_params()},
+      {"Immunity", scenario, immunity_params()},
+      {"CumImmunity", scenario, cumulative_immunity_params()},
+  };
 }
 
 /// SV-B trace comparison set: enhancements vs originals (Figs. 16, 18, 20).
@@ -322,27 +358,12 @@ Figure run_stats(const FigureOptions& o, bool rwp) {
       std::string("stats_") + scenario.name,
       "Encounter/occupancy/signaling statistics panels (" + scenario.name +
           ")",
-      Metric::kBufferOccupancy,
-      {{"P-Q epidemic", scenario, pq_params(1.0, 1.0)},
-       {"TTL=300", scenario, fixed_ttl_params()},
-       {"dynamic TTL", scenario, dynamic_ttl_params()},
-       {"EC", scenario, ec_params()},
-       {"EC+TTL", scenario, ec_ttl_params()},
-       {"Immunity", scenario, immunity_params()},
-       {"CumImmunity", scenario, cumulative_immunity_params()}},
-      opts, {10, 25, 40});
+      Metric::kBufferOccupancy, all_families(scenario), opts, {10, 25, 40});
 }
 
-// --- robustness sweeps ----------------------------------------------------------
+// --- axis sweeps ---------------------------------------------------------------
 
 namespace {
-
-/// Loss axis of every robustness figure, in percent.
-std::vector<std::uint32_t> loss_percents() {
-  std::vector<std::uint32_t> percents;
-  for (std::uint32_t p = 0; p <= 40; p += 5) percents.push_back(p);
-  return percents;
-}
 
 const char* metric_slug(Metric metric) noexcept {
   switch (metric) {
@@ -354,264 +375,120 @@ const char* metric_slug(Metric metric) noexcept {
   }
 }
 
+/// An axis figure sets `option` itself on every run, so a user value there
+/// would be overwritten without a trace; it is refused before anything runs.
+void require_default(bool is_default, const std::string& figure,
+                     const char* option) {
+  if (!is_default) {
+    throw ConfigError(figure + " sets " + option +
+                      " itself; leave it at its default for this figure");
+  }
+}
+
 }  // namespace
 
 Figure run_robustness(const FigureOptions& o, Metric metric, bool rwp) {
-  const ScenarioSpec scenario =
-      ScenarioSpecBuilder(rwp ? rwp_scenario() : trace_scenario()).build();
-  // Shared across every (protocol, loss point) sweep; built on first miss
-  // only, so a warm store replays the whole figure without it.
-  std::optional<mobility::ContactTrace> trace;
-  const TraceProvider provider = [&]() -> const mobility::ContactTrace& {
-    if (!trace.has_value()) {
-      trace = build_contact_trace(scenario, o.master_seed);
-    }
-    return *trace;
-  };
-
-  // All protocol families: the SV-A originals plus every SV-B enhancement.
-  struct Def {
-    const char* label;
-    ProtocolParams params;
-  };
-  const std::vector<Def> defs{
-      {"P-Q epidemic", pq_params(1.0, 1.0)},
-      {"TTL=300", fixed_ttl_params()},
-      {"dynamic TTL", dynamic_ttl_params()},
-      {"EC", ec_params()},
-      {"EC+TTL", ec_ttl_params()},
-      {"Immunity", immunity_params()},
-      {"CumImmunity", cumulative_immunity_params()},
-  };
-  const std::vector<std::uint32_t> percents = loss_percents();
-
-  Figure figure;
-  figure.id = std::string("robust_") + scenario.name + "_" +
-              metric_slug(metric);
-  figure.title = std::string(metric_name(metric)) +
-                 " vs transfer/control loss rate (" + scenario.name +
-                 ", load " + std::to_string(kRobustnessLoad) + ")";
-  figure.metric = metric;
-  figure.axis = "loss %";
-
-  std::unique_ptr<obs::ProgressReporter> progress = make_progress(
-      o, figure.id, defs.size() * percents.size() * o.replications);
-
-  for (const auto& def : defs) {
-    // One sweep per loss point (the sweep machinery's axis is load, pinned
-    // here to kRobustnessLoad); the points concatenate into one series whose
-    // `loads` carry the loss percentages.
-    SweepResult series;
-    series.scenario_name = scenario.name;
-    series.protocol = def.params;
-    for (const std::uint32_t percent : percents) {
-      SweepSpec spec;
-      spec.scenario = scenario;
-      spec.protocol = def.params;
-      spec.loads = {kRobustnessLoad};
-      spec.replications = o.replications;
-      spec.master_seed = o.master_seed;
-      spec.threads = o.threads;
-      spec.fault = fault::FaultPlanBuilder()
-                       .slot_loss(percent / 100.0)
-                       .control_loss(percent / 100.0)
-                       .build();
-      spec.summary = o.summary;
-      spec.trace_sink = o.trace_sink;
-      spec.chrome = o.chrome;
-      spec.progress = progress.get();
-      spec.collect_stats = o.collect_stats;
-      spec.store = o.store;
-      spec.claim_units = o.claim_units;
-      SweepResult point = run_sweep_on(spec, provider);
-      series.loads.push_back(percent);
-      series.points.push_back(std::move(point.points.front()));
-      series.runs.push_back(std::move(point.runs.front()));
-    }
-    figure.labels.push_back(def.label);
-    figure.results.push_back(std::move(series));
-  }
-  return figure;
+  const ScenarioSpec scenario = rwp ? rwp_scenario() : trace_scenario();
+  std::string id =
+      std::string("robust_") + scenario.name + "_" + metric_slug(metric);
+  require_default(o.options.fault == fault::FaultPlan{}, id, "the fault plan");
+  // Loss axis {0, 5, ..., 40} percent, applied to slots and control alike.
+  Axis loss{"loss %", {}, kRobustnessLoad,
+            [](SweepSpec& spec, std::uint32_t percent) {
+              spec.options.fault = fault::FaultPlanBuilder()
+                                       .slot_loss(percent / 100.0)
+                                       .control_loss(percent / 100.0)
+                                       .build();
+            }};
+  for (std::uint32_t p = 0; p <= 40; p += 5) loss.points.push_back(p);
+  return run_axis_figure(
+      std::move(id),
+      std::string(metric_name(metric)) + " vs transfer/control loss rate (" +
+          scenario.name + ", load " + std::to_string(kRobustnessLoad) + ")",
+      metric, all_families(scenario), o, std::move(loss));
 }
-
-// --- buffer-capacity sweeps -----------------------------------------------------
-
-namespace {
-
-/// Capacity axis of the buffer sweeps: below, at and above the paper's 10.
-std::vector<std::uint32_t> capacity_points() { return {4, 6, 8, 10, 14, 20}; }
-
-}  // namespace
 
 Figure run_capacity(const FigureOptions& o, Metric metric) {
   const ScenarioSpec scenario = trace_scenario();
-  std::optional<mobility::ContactTrace> trace;
-  const TraceProvider provider = [&]() -> const mobility::ContactTrace& {
-    if (!trace.has_value()) {
-      trace = build_contact_trace(scenario, o.master_seed);
-    }
-    return *trace;
-  };
+  std::string id =
+      std::string("capacity_") + scenario.name + "_" + metric_slug(metric);
+  require_default(o.options.eviction == EvictionPolicy::kDropTail, id,
+                  "the eviction policy (--evict)");
+  require_default(o.options.node_capacities.empty(), id,
+                  "the buffer capacities");
 
   // Two families spanning the admission spectrum: P-Q has no rule of its
   // own (the configured policy decides everything), EC applies its
-  // drop-largest-EC rule first and uses the policy only as fallback.
-  struct Def {
-    const char* family;
-    ProtocolParams params;
-  };
-  const std::vector<Def> defs{
-      {"P-Q", pq_params(1.0, 1.0)},
-      {"EC", ec_params()},
-  };
-  const std::vector<EvictionPolicy> policies{
-      EvictionPolicy::kDropTail,
-      EvictionPolicy::kDropOldest,
-      EvictionPolicy::kDropMostReplicated,
-      EvictionPolicy::kDropLargestEc,
-  };
-  const std::vector<std::uint32_t> capacities = capacity_points();
-
-  Figure figure;
-  figure.id = std::string("capacity_") + scenario.name + "_" +
-              metric_slug(metric);
-  figure.title = std::string(metric_name(metric)) +
-                 " vs uniform buffer capacity per eviction policy (" +
-                 scenario.name + ", load " + std::to_string(kCapacityLoad) +
-                 ")";
-  figure.metric = metric;
-  figure.axis = "capacity";
-
-  std::unique_ptr<obs::ProgressReporter> progress = make_progress(
-      o, figure.id,
-      defs.size() * policies.size() * capacities.size() * o.replications);
-
-  for (const auto& def : defs) {
-    for (const EvictionPolicy policy : policies) {
-      // One sweep per capacity point (the sweep machinery's axis is load,
-      // pinned here to kCapacityLoad); the points concatenate into one
-      // series whose `loads` carry the capacities.
-      SweepResult series;
-      series.scenario_name = scenario.name;
-      series.protocol = def.params;
-      for (const std::uint32_t capacity : capacities) {
-        SweepSpec spec;
-        spec.scenario = scenario;
-        spec.protocol = def.params;
-        spec.loads = {kCapacityLoad};
-        spec.replications = o.replications;
-        spec.master_seed = o.master_seed;
-        spec.buffer_capacity = capacity;
-        spec.threads = o.threads;
-        spec.eviction = policy;
-        spec.summary = o.summary;
-        spec.trace_sink = o.trace_sink;
-        spec.chrome = o.chrome;
-        spec.progress = progress.get();
-        spec.collect_stats = o.collect_stats;
-        spec.store = o.store;
-        spec.claim_units = o.claim_units;
-        SweepResult point = run_sweep_on(spec, provider);
-        series.loads.push_back(capacity);
-        series.points.push_back(std::move(point.points.front()));
-        series.runs.push_back(std::move(point.runs.front()));
-      }
-      figure.labels.push_back(std::string(def.family) + "/" +
-                              std::string(to_string(policy)));
-      figure.results.push_back(std::move(series));
+  // drop-largest-EC rule first and uses the policy only as fallback. Each
+  // series pins one eviction policy.
+  std::vector<SeriesDef> series;
+  for (const auto& [family, params] :
+       {std::pair{"P-Q/", pq_params(1.0, 1.0)}, std::pair{"EC/", ec_params()}}) {
+    for (const EvictionPolicy policy :
+         {EvictionPolicy::kDropTail, EvictionPolicy::kDropOldest,
+          EvictionPolicy::kDropMostReplicated,
+          EvictionPolicy::kDropLargestEc}) {
+      series.push_back({family + std::string(to_string(policy)), scenario,
+                        params, policy});
     }
   }
-  return figure;
+  // Capacity axis: below, at and above the paper's 10.
+  return run_axis_figure(
+      std::move(id),
+      std::string(metric_name(metric)) +
+          " vs uniform buffer capacity per eviction policy (" +
+          scenario.name + ", load " + std::to_string(kCapacityLoad) + ")",
+      metric, series, o,
+      {"capacity", {4, 6, 8, 10, 14, 20}, kCapacityLoad,
+       [](SweepSpec& spec, std::uint32_t capacity) {
+         spec.buffer_capacity = capacity;
+       }});
 }
-
-// --- compact-advertisement sweeps -----------------------------------------------
-
-namespace {
-
-/// Filter-density axis of the Bloom sweeps, in bits per buffered bundle:
-/// brutal (2), around the 1%-FP sweet spot (8..12), and diminishing (16).
-std::vector<std::uint32_t> bloom_bits_points() { return {2, 4, 6, 8, 12, 16}; }
-
-}  // namespace
 
 Figure run_bloom(const FigureOptions& o, Metric metric, bool faulted) {
   const ScenarioSpec scenario = trace_scenario();
-  std::optional<mobility::ContactTrace> trace;
-  const TraceProvider provider = [&]() -> const mobility::ContactTrace& {
-    if (!trace.has_value()) {
-      trace = build_contact_trace(scenario, o.master_seed);
-    }
-    return *trace;
-  };
+  std::string id = std::string(faulted ? "bloom_fault_" : "bloom_trace_") +
+                   metric_slug(metric);
+  require_default(o.options.summary.mode == SummaryMode::kExact, id,
+                  "the summary mode (--summary-mode)");
+  require_default(
+      o.options.summary.filter_bits == SummaryCodecParams{}.filter_bits, id,
+      "the filter density (--filter-bits)");
+  FigureOptions opts = o;
+  opts.options.summary.mode = SummaryMode::kBloom;
+  if (faulted) {
+    require_default(o.options.fault == fault::FaultPlan{}, id,
+                    "the fault plan");
+    opts.options.fault = fault::FaultPlanBuilder()
+                             .slot_loss(kBloomFaultLoss)
+                             .control_loss(kBloomFaultLoss)
+                             .build();
+  }
 
   // Families spanning the exchange spectrum: P-Q (pure summary-vector
   // gossip), fixed TTL (expiry-limited), EC (count-limited), and both
   // immunity schemes (whose control plane rides the same contacts the
   // filters compress).
-  struct Def {
-    const char* label;
-    ProtocolParams params;
+  std::vector<SeriesDef> series{
+      {"P-Q epidemic", scenario, pq_params(1.0, 1.0)},
+      {"TTL=300", scenario, fixed_ttl_params()},
+      {"EC", scenario, ec_params()},
+      {"Immunity", scenario, immunity_params()},
+      {"CumImmunity", scenario, cumulative_immunity_params()},
   };
-  const std::vector<Def> defs{
-      {"P-Q epidemic", pq_params(1.0, 1.0)},
-      {"TTL=300", fixed_ttl_params()},
-      {"EC", ec_params()},
-      {"Immunity", immunity_params()},
-      {"CumImmunity", cumulative_immunity_params()},
-  };
-  const std::vector<std::uint32_t> bits = bloom_bits_points();
-
-  Figure figure;
-  figure.id = std::string(faulted ? "bloom_fault_" : "bloom_trace_") +
-              metric_slug(metric);
-  figure.title = std::string(metric_name(metric)) +
-                 " vs Bloom advertisement bits/bundle (" + scenario.name +
-                 ", load " + std::to_string(kBloomLoad) +
-                 (faulted ? ", 10% slot+control loss)" : ")");
-  figure.metric = metric;
-  figure.axis = "bits/bundle";
-
-  std::unique_ptr<obs::ProgressReporter> progress = make_progress(
-      o, figure.id, defs.size() * bits.size() * o.replications);
-
-  for (const auto& def : defs) {
-    // One sweep per filter-density point (the sweep machinery's axis is
-    // load, pinned here to kBloomLoad); the points concatenate into one
-    // series whose `loads` carry the bits-per-bundle values.
-    SweepResult series;
-    series.scenario_name = scenario.name;
-    series.protocol = def.params;
-    for (const std::uint32_t bpb : bits) {
-      SweepSpec spec;
-      spec.scenario = scenario;
-      spec.protocol = def.params;
-      spec.loads = {kBloomLoad};
-      spec.replications = o.replications;
-      spec.master_seed = o.master_seed;
-      spec.threads = o.threads;
-      spec.summary.mode = SummaryMode::kBloom;
-      spec.summary.filter_bits = bpb;
-      if (faulted) {
-        spec.fault = fault::FaultPlanBuilder()
-                         .slot_loss(kBloomFaultLoss)
-                         .control_loss(kBloomFaultLoss)
-                         .build();
-      }
-      spec.trace_sink = o.trace_sink;
-      spec.chrome = o.chrome;
-      spec.progress = progress.get();
-      spec.collect_stats = o.collect_stats;
-      spec.store = o.store;
-      spec.claim_units = o.claim_units;
-      SweepResult point = run_sweep_on(spec, provider);
-      series.loads.push_back(bpb);
-      series.points.push_back(std::move(point.points.front()));
-      series.runs.push_back(std::move(point.runs.front()));
-    }
-    figure.labels.push_back(def.label);
-    figure.results.push_back(std::move(series));
-  }
-  return figure;
+  // Filter-density axis in bits per buffered bundle: brutal (2), around the
+  // 1%-FP sweet spot (8..12), and diminishing (16).
+  return run_axis_figure(
+      std::move(id),
+      std::string(metric_name(metric)) +
+          " vs Bloom advertisement bits/bundle (" + scenario.name +
+          ", load " + std::to_string(kBloomLoad) +
+          (faulted ? ", 10% slot+control loss)" : ")"),
+      metric, series, opts,
+      {"bits/bundle", {2, 4, 6, 8, 12, 16}, kBloomLoad,
+       [](SweepSpec& spec, std::uint32_t bits) {
+         spec.options.summary.filter_bits = bits;
+       }});
 }
 
 // --- city-scale sweeps ----------------------------------------------------------
@@ -640,10 +517,6 @@ Figure run_city(const FigureOptions& o, Metric metric) {
 // --- figure registry ------------------------------------------------------------
 
 namespace {
-
-Figure robust(const FigureOptions& o, Metric metric, bool rwp) {
-  return run_robustness(o, metric, rwp);
-}
 
 constexpr FigureSpec kRegistry[] = {
     {"fig07",
@@ -704,36 +577,40 @@ constexpr FigureSpec kRegistry[] = {
      "TTL-limited variants lose delivery as loss rises; unlimited epidemic "
      "variants absorb loss through replication redundancy (trace file)",
      [](const FigureOptions& o) {
-       return robust(o, Metric::kDeliveryRatio, false);
+       return run_robustness(o, Metric::kDeliveryRatio, false);
      },
      false},
     {"robust_trace_delay",
      "delay rises with loss for every protocol family (trace file)",
-     [](const FigureOptions& o) { return robust(o, Metric::kDelay, false); },
+     [](const FigureOptions& o) {
+       return run_robustness(o, Metric::kDelay, false);
+     },
      false},
     {"robust_trace_dup",
      "duplication shrinks with loss (fewer slots succeed), but immunity "
      "purging weakens faster as anti-packets are dropped (trace file)",
      [](const FigureOptions& o) {
-       return robust(o, Metric::kDuplicationRate, false);
+       return run_robustness(o, Metric::kDuplicationRate, false);
      },
      false},
     {"robust_rwp_delivery",
      "TTL-limited variants lose delivery as loss rises; unlimited epidemic "
      "variants absorb loss through replication redundancy (RWP)",
      [](const FigureOptions& o) {
-       return robust(o, Metric::kDeliveryRatio, true);
+       return run_robustness(o, Metric::kDeliveryRatio, true);
      },
      false},
     {"robust_rwp_delay",
      "delay rises with loss for every protocol family (RWP)",
-     [](const FigureOptions& o) { return robust(o, Metric::kDelay, true); },
+     [](const FigureOptions& o) {
+       return run_robustness(o, Metric::kDelay, true);
+     },
      false},
     {"robust_rwp_dup",
      "duplication shrinks with loss (fewer slots succeed), but immunity "
      "purging weakens faster as anti-packets are dropped (RWP)",
      [](const FigureOptions& o) {
-       return robust(o, Metric::kDuplicationRate, true);
+       return run_robustness(o, Metric::kDuplicationRate, true);
      },
      false},
     {"stats_trace",
@@ -831,7 +708,8 @@ const FigureSpec* find_figure(std::string_view query) {
   return nullptr;
 }
 
-std::vector<Table2Row> run_table2(const FigureOptions& o) {
+std::vector<Table2Row> run_table2(const FigureOptions& o,
+                                  std::vector<Figure>* sweeps) {
   struct Def {
     std::string name;
     ProtocolParams params;
@@ -884,6 +762,7 @@ std::vector<Table2Row> run_table2(const FigureOptions& o) {
         row.duplication_trace = 100.0 * dup / n;
       }
     }
+    if (sweeps != nullptr) sweeps->push_back(delivery);
   }
   return rows;
 }

@@ -4,39 +4,24 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "core/config.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
-#include "obs/chrome_trace.hpp"
-#include "obs/trace_sink.hpp"
-
-namespace epi::store {
-class RunStore;
-}
+#include "exp/sweep.hpp"
 
 namespace epi::exp {
 
-/// Knobs shared by all figure reproductions.
-struct FigureOptions {
-  std::uint64_t master_seed = 42;
-  std::uint32_t replications = 10;  // paper SIV
-  unsigned threads = 0;             // 0 = hardware concurrency
-
-  // --- observability (non-owning, optional) ---------------------------------
-  obs::TraceSink* trace_sink = nullptr;      ///< event-level JSONL/etc. sink
-  obs::ChromeTraceWriter* chrome = nullptr;  ///< per-replication spans
+/// Knobs shared by all figure reproductions: the SweepBase every sweep of
+/// the figure starts from (seed, replications, threads, the protocol option
+/// block and the hooks), plus the figure-level progress reporting. A figure
+/// that sweeps one of the block's options itself (see the axis figures
+/// below) throws ConfigError before simulating when that option is not at
+/// its default; every other option reaches every run.
+struct FigureOptions : SweepBase {
   bool progress = false;  ///< live `[figXX] n/m runs ...` line on stderr
-  bool collect_stats = false;  ///< attach a StatsProfile to every run
-                               ///< (see SweepSpec::collect_stats)
-
-  /// Persistent run cache (non-owning, optional); see SweepSpec::store.
-  store::RunStore* store = nullptr;
-
-  /// Partition missing runs across concurrent invocations sharing the
-  /// store via work-unit claims; see SweepSpec::claim_units.
-  bool claim_units = false;
 
   /// When non-empty, every reporter additionally appends machine-readable
   /// ProgressSnapshot lines to this file (see obs::progress). The fleet
@@ -44,17 +29,6 @@ struct FigureOptions {
   /// aggregate line; combine with `progress = false` to keep worker
   /// stderr quiet.
   std::string progress_path;
-
-  /// Receiver-side admission policy applied to every run (see
-  /// ProtocolOptions::eviction). Drop-tail (the default) is the paper's
-  /// behavior and keeps every figure bit-identical to older builds.
-  EvictionPolicy eviction = EvictionPolicy::kDropTail;
-
-  /// Summary-exchange codec applied to every run (see
-  /// ProtocolOptions::summary). Exact (the default) is the paper's free
-  /// advertisement and keeps every figure bit-identical to older builds;
-  /// bloom trades advertisement bytes for false-positive suppressed offers.
-  SummaryCodecParams summary;
 };
 
 // --- protocol parameter shorthands (the paper's configurations) -------------
@@ -74,11 +48,15 @@ struct SeriesDef {
   std::string label;
   ScenarioSpec scenario;
   ProtocolParams protocol;
+  /// Eviction policy this series alone applies (the capacity sweeps pin one
+  /// per series); unset keeps the figure's option block.
+  std::optional<EvictionPolicy> eviction = std::nullopt;
 };
 
-/// Runs all series (mobility traces are built once per distinct scenario)
-/// and assembles the Figure. `loads` overrides the sweep's load axis; empty
-/// (the default) means the paper's {5, 10, ..., 50}.
+/// Runs all series (mobility traces are built once per distinct scenario,
+/// on first need) and assembles the Figure: one sweep per series over the
+/// load axis. `loads` overrides that axis; empty (the default) means the
+/// paper's {5, 10, ..., 50}.
 [[nodiscard]] Figure run_figure(std::string id, std::string title,
                                 Metric metric, std::vector<SeriesDef> series,
                                 const FigureOptions& options,
@@ -126,7 +104,9 @@ inline constexpr std::uint32_t kRobustnessLoad = 25;
 /// per-slot transfer loss and control-plane loss (see fault::FaultPlan), so
 /// the anti-packet/immunity schemes lose control state at the same rate the
 /// data plane loses slots. The returned Figure's x axis is the loss percent
-/// ("loss %"), not bundle load; load is pinned at kRobustnessLoad.
+/// ("loss %"), not bundle load; load is pinned at kRobustnessLoad. The
+/// figure owns the fault plan: a non-default `o.options.fault` throws
+/// ConfigError before any run.
 [[nodiscard]] Figure run_robustness(const FigureOptions& o, Metric metric,
                                     bool rwp);
 
@@ -142,7 +122,9 @@ inline constexpr std::uint32_t kCapacityLoad = 25;
 /// (no admission rule of its own, so the configured policy decides
 /// everything) and EC (its drop-largest-EC rule applies first, the policy
 /// only as fallback). The returned Figure's x axis is the capacity
-/// ("capacity"), not bundle load; load is pinned at kCapacityLoad.
+/// ("capacity"), not bundle load; load is pinned at kCapacityLoad. The
+/// figure owns eviction and capacity: a non-default `o.options.eviction`
+/// or any `o.options.node_capacities` throws ConfigError before any run.
 [[nodiscard]] Figure run_capacity(const FigureOptions& o, Metric metric);
 
 // --- compact-advertisement sweeps -----------------------------------------------
@@ -163,7 +145,11 @@ inline constexpr double kBloomFaultLoss = 0.10;
 /// ("bits/bundle"), not bundle load; load is pinned at kBloomLoad. With
 /// `faulted`, every run additionally suffers kBloomFaultLoss slot and
 /// control loss (see fault::FaultPlan), so the figure shows whether
-/// compact advertisements amplify or absorb channel impairment.
+/// compact advertisements amplify or absorb channel impairment. The figure
+/// owns the summary mode and filter density (a non-default mode or
+/// filter_bits in `o.options.summary` throws ConfigError before any run;
+/// an explicit hash count is honoured), and with `faulted` also the fault
+/// plan.
 [[nodiscard]] Figure run_bloom(const FigureOptions& o, Metric metric,
                                bool faulted);
 
@@ -180,8 +166,7 @@ inline constexpr double kBloomFaultLoss = 0.10;
 /// One registered figure: canonical id, the paper's qualitative shape claim
 /// (printed under the table for eyeball comparison), and the captureless
 /// runner that reproduces it. The registry is the single source of truth
-/// for `bench_figure --fig/--list`, the legacy bench_figXX wrappers, and
-/// bench_export.
+/// for `bench_figure --fig/--list/--all`.
 struct FigureSpec {
   const char* id;           ///< "fig07", "robust_trace_delivery", ...
   const char* paper_claim;  ///< expected shape, one line
@@ -211,7 +196,12 @@ struct Table2Row {
   double duplication_trace = 0.0;
 };
 
-[[nodiscard]] std::vector<Table2Row> run_table2(const FigureOptions& o);
+/// Runs Table II's two sweeps (trace, then RWP: every protocol of the table
+/// over the load axis) and reads its rows from them. When `sweeps` is set,
+/// the two sweep figures are appended to it for callers that report on the
+/// runs themselves.
+[[nodiscard]] std::vector<Table2Row> run_table2(
+    const FigureOptions& o, std::vector<Figure>* sweeps = nullptr);
 void print_table2(std::ostream& out, const std::vector<Table2Row>& rows);
 
 }  // namespace epi::exp

@@ -65,9 +65,7 @@ SweepResult run_sweep_on(const SweepSpec& spec,
                            .scenario(spec.scenario)
                            .master_seed(spec.master_seed)
                            .buffer_capacity(spec.buffer_capacity)
-                           .eviction(spec.eviction)
-                           .fault(spec.fault)
-                           .summary(spec.summary)
+                           .options(spec.options)
                            .trace_sink(spec.trace_sink)
                            .collect_stats(spec.collect_stats)
                            .build();
@@ -259,18 +257,15 @@ SweepResult run_sweep(const SweepSpec& spec) {
 
 std::vector<SweepResult> run_sweeps(
     const ScenarioSpec& scenario, const std::vector<ProtocolParams>& protocols,
-    std::uint64_t master_seed, std::uint32_t replications, unsigned threads) {
+    const SweepBase& base) {
   const mobility::ContactTrace trace =
-      build_contact_trace(scenario, master_seed);
+      build_contact_trace(scenario, base.master_seed);
   std::vector<SweepResult> results;
   results.reserve(protocols.size());
   for (const auto& protocol : protocols) {
-    SweepSpec spec;
+    SweepSpec spec(base);
     spec.scenario = scenario;
     spec.protocol = protocol;
-    spec.replications = replications;
-    spec.master_seed = master_seed;
-    spec.threads = threads;
     results.push_back(run_sweep_on(spec, trace));
   }
   return results;

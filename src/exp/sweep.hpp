@@ -11,8 +11,8 @@
 
 #include "core/config.hpp"
 #include "core/error.hpp"
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
-#include "fault/plan.hpp"
 #include "metrics/summary.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/progress.hpp"
@@ -36,32 +36,25 @@ class SweepInterrupted : public Error {
 /// Load axis used by every figure: k in {5, 10, ..., 50}.
 [[nodiscard]] std::vector<std::uint32_t> paper_loads();
 
-struct SweepSpec {
-  ScenarioSpec scenario;
-  ProtocolParams protocol;
-  std::vector<std::uint32_t> loads;  // empty -> paper_loads()
-  std::uint32_t replications = 10;   // paper SIV
+/// What a sweep and a figure share, declared once: the replication plan,
+/// the protocol option block every run applies, and the non-owning
+/// observability and persistence hooks. FigureOptions and SweepSpec both
+/// derive from it, so a figure hands all of it to each sweep at once
+/// (`SweepSpec spec(options)`) and no option can reach one layer but not
+/// the next.
+struct SweepBase {
   std::uint64_t master_seed = 42;
-  std::uint32_t buffer_capacity = defaults::kBufferCapacity;
-  unsigned threads = 0;  ///< 0 = hardware concurrency
+  std::uint32_t replications = 10;  // paper SIV
+  unsigned threads = 0;             ///< 0 = hardware concurrency
 
-  /// Receiver-side admission policy applied to every run of the sweep (see
-  /// RunSpec::eviction). Drop-tail (the default) is the paper's behavior.
-  EvictionPolicy eviction = EvictionPolicy::kDropTail;
-
-  /// Impairments applied to every run of the sweep (see fault::FaultPlan).
-  /// All-zero (the default) injects nothing.
-  fault::FaultPlan fault;
-
-  /// Summary-exchange codec applied to every run of the sweep (see
-  /// ProtocolOptions::summary). Exact (the default) is the paper's free
-  /// advertisement.
-  SummaryCodecParams summary;
+  /// Eviction policy, per-node capacities, fault plan and summary codec,
+  /// applied to every run (see ProtocolOptions). The defaults are the
+  /// paper's behavior and keep every store key bit-identical to older builds.
+  ProtocolOptions options;
 
   // --- observability (all non-owning, all optional) -------------------------
-  obs::TraceSink* trace_sink = nullptr;        ///< per-event records
-  obs::ProgressReporter* progress = nullptr;   ///< ticked per replication
-  obs::ChromeTraceWriter* chrome = nullptr;    ///< one span per replication
+  obs::TraceSink* trace_sink = nullptr;      ///< per-event records
+  obs::ChromeTraceWriter* chrome = nullptr;  ///< one span per replication
 
   /// Attach a per-run StatsProfile to every RunSummary (see
   /// RunSpec::collect_stats). Like `trace_sink`, enabling this bypasses
@@ -86,6 +79,17 @@ struct SweepSpec {
   /// whose events or profile this invocation needs locally. Results are
   /// bit-identical with or without claims, for any worker count.
   bool claim_units = false;
+};
+
+struct SweepSpec : SweepBase {
+  /// Starts from a figure's (or any caller's) shared block.
+  explicit SweepSpec(const SweepBase& base = {}) : SweepBase(base) {}
+
+  ScenarioSpec scenario;
+  ProtocolParams protocol;
+  std::vector<std::uint32_t> loads;  // empty -> paper_loads()
+  std::uint32_t buffer_capacity = defaults::kBufferCapacity;
+  obs::ProgressReporter* progress = nullptr;  ///< ticked per replication
 };
 
 struct SweepResult {
@@ -124,7 +128,6 @@ using TraceProvider = std::function<const mobility::ContactTrace&()>;
 /// once and shared.
 [[nodiscard]] std::vector<SweepResult> run_sweeps(
     const ScenarioSpec& scenario, const std::vector<ProtocolParams>& protocols,
-    std::uint64_t master_seed = 42, std::uint32_t replications = 10,
-    unsigned threads = 0);
+    const SweepBase& base = {});
 
 }  // namespace epi::exp

@@ -71,6 +71,24 @@ TEST(BenchArgsDeathTest, StoreFlagRejectsEmptyAndMissingValues) {
               "--store-stats takes no value");
 }
 
+TEST(BenchArgsDeathTest, OutputFileFlagsRejectEmptyNames) {
+  for (const char* flag : {"--trace-out=", "--chrome-trace=", "--stats-out="}) {
+    EXPECT_EXIT(parse({flag}), ::testing::ExitedWithCode(2),
+                "needs a file name");
+  }
+}
+
+TEST(BenchArgsDeathTest, FlagsABinaryCannotHonourAreRejected) {
+  const Args args = parse({"--reps=3", "--csv"});
+  EXPECT_EQ(args.flags, (std::vector<std::string>{"--reps", "--csv"}));
+  reject_flags(args, {"--seed"});          // none given: returns
+  accept_only(args, {"--reps", "--csv"});  // all honoured: returns
+  EXPECT_EXIT(reject_flags(args, {"--csv"}), ::testing::ExitedWithCode(2),
+              "--csv is not supported");
+  EXPECT_EXIT(accept_only(args, {"--reps"}), ::testing::ExitedWithCode(2),
+              "--csv is not supported");
+}
+
 TEST(BenchArgsDeathTest, BooleanFlagRejectsInlineValue) {
   EXPECT_EXIT(parse({"--csv=nonsense"}), ::testing::ExitedWithCode(2),
               "--csv takes no value");
@@ -110,16 +128,16 @@ TEST(BenchArgsDeathTest, DuplicateFlagRejected) {
 
 TEST(BenchArgs, SummaryCodecFlagsParseBothSpellings) {
   const Args defaults = parse({});
-  EXPECT_EQ(defaults.options.summary.mode, SummaryMode::kExact);
-  EXPECT_EQ(defaults.options.summary.filter_bits, 8u);
-  EXPECT_EQ(defaults.options.summary.hashes, 0u);
+  EXPECT_EQ(defaults.options.options.summary.mode, SummaryMode::kExact);
+  EXPECT_EQ(defaults.options.options.summary.filter_bits, 8u);
+  EXPECT_EQ(defaults.options.options.summary.hashes, 0u);
 
   const Args args = parse({"--summary-mode", "bloom", "--filter-bits=12",
                            "--filter-hashes", "5"});
-  EXPECT_EQ(args.options.summary.mode, SummaryMode::kBloom);
-  EXPECT_EQ(args.options.summary.filter_bits, 12u);
-  EXPECT_EQ(args.options.summary.hashes, 5u);
-  EXPECT_EQ(parse({"--summary-mode=exact"}).options.summary.mode,
+  EXPECT_EQ(args.options.options.summary.mode, SummaryMode::kBloom);
+  EXPECT_EQ(args.options.options.summary.filter_bits, 12u);
+  EXPECT_EQ(args.options.options.summary.hashes, 5u);
+  EXPECT_EQ(parse({"--summary-mode=exact"}).options.options.summary.mode,
             SummaryMode::kExact);
 }
 

@@ -4,8 +4,8 @@
 // for assembling specs from user input; every rejection must fire at
 // build() time with a message naming the offending field and value. The
 // figure registry (exp/figures.hpp) is the single source of truth behind
-// bench_figure, the legacy bench_figXX wrappers and bench_export, so its
-// ids must be unique and lookup must accept every documented spelling.
+// bench_figure, so its ids must be unique and lookup must accept every
+// documented spelling.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -99,6 +99,47 @@ TEST(RunSpecBuilder, RejectsInvalidFaultPlan) {
   plan.slot_loss = 1.5;
   EXPECT_CONFIG_ERROR(exp::RunSpecBuilder().fault(plan).build(),
                       "slot_loss");
+}
+
+TEST(RunSpecBuilder, NodeCapacitiesFromEitherSourceNeverOverwriteTheOther) {
+  const exp::ScenarioSpec plain = exp::trace_scenario();
+  const std::vector<std::uint32_t> caps(plain.node_count(), 7);
+  exp::ScenarioSpec capped = plain;
+  capped.node_capacities = caps;
+  exp::ProtocolOptions block;
+  block.node_capacities = caps;
+
+  // Set on the scenario only: an empty option block given afterwards must
+  // not wipe them.
+  const exp::RunSpec from_scenario =
+      exp::RunSpecBuilder().scenario(capped).options({}).build();
+  EXPECT_EQ(from_scenario.options.node_capacities, caps);
+  // Set on the block only: a capacity-free scenario given afterwards must
+  // not wipe them either.
+  const exp::RunSpec from_block =
+      exp::RunSpecBuilder().options(block).scenario(plain).build();
+  EXPECT_EQ(from_block.options.node_capacities, caps);
+  for (const exp::RunSpec& spec : {from_scenario, from_block}) {
+    EXPECT_NE(exp::store_key(plain, spec).find("|caps=[7;"),
+              std::string::npos);
+  }
+  // Both set and equal: one vector, no conflict.
+  EXPECT_EQ(exp::RunSpecBuilder()
+                .scenario(capped)
+                .options(block)
+                .build()
+                .options.node_capacities,
+            caps);
+
+  // Both set and different: refused, whatever the call order.
+  exp::ProtocolOptions other = block;
+  other.node_capacities.back() = 9;
+  EXPECT_CONFIG_ERROR(
+      exp::RunSpecBuilder().scenario(capped).options(other).build(),
+      "node_capacities");
+  EXPECT_CONFIG_ERROR(
+      exp::RunSpecBuilder().options(other).scenario(capped).build(),
+      "node_capacities");
 }
 
 // --- ScenarioSpecBuilder ------------------------------------------------------

@@ -95,10 +95,10 @@ TEST_P(ZeroPlanGolden, ReproducesEveryPin) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCases, ZeroPlanGolden, ::testing::ValuesIn(kGolden),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return std::string(info.param.scenario) + "_" + info.param.protocol +
-             "_" + std::to_string(info.param.load) + "_r" +
-             std::to_string(info.param.replication);
+    [](const ::testing::TestParamInfo<GoldenCase>& case_info) {
+      const GoldenCase& c = case_info.param;
+      return std::string(c.scenario) + "_" + c.protocol + "_" +
+             std::to_string(c.load) + "_r" + std::to_string(c.replication);
     });
 
 // --- contract 2: faulted runs are deterministic -------------------------------
@@ -122,7 +122,7 @@ TEST(FaultDeterminism, SweepIdenticalAcrossThreadCounts) {
   spec.protocol.kind = ProtocolKind::kImmunity;
   spec.loads = {15, 25};
   spec.replications = 3;
-  spec.fault = composite_plan();
+  spec.options.fault = composite_plan();
 
   spec.threads = 1;
   const auto serial = exp::run_sweep_on(spec, shared_trace(false));

@@ -84,10 +84,10 @@ TEST_P(GoldenRun, ExplicitExactCodecIsBitIdenticalToDefault) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCases, GoldenRun, ::testing::ValuesIn(kGolden),
-    [](const ::testing::TestParamInfo<GoldenCase>& info) {
-      return std::string(info.param.scenario) + "_" + info.param.protocol +
-             "_" + std::to_string(info.param.load) + "_r" +
-             std::to_string(info.param.replication);
+    [](const ::testing::TestParamInfo<GoldenCase>& case_info) {
+      const GoldenCase& c = case_info.param;
+      return std::string(c.scenario) + "_" + c.protocol + "_" +
+             std::to_string(c.load) + "_r" + std::to_string(c.replication);
     });
 
 }  // namespace

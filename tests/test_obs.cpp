@@ -60,7 +60,11 @@ std::size_t count_kind(const std::vector<std::string>& lines,
 }
 
 double field_of(const std::string& line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  // Appended piecewise: GCC 12 misreads the inlined `"\"" + std::string(key)`
+  // temporaries as overlapping memcpy ranges (-Wrestrict).
+  std::string needle = "\"";
+  needle += key;
+  needle += "\":";
   const auto pos = line.find(needle);
   if (pos == std::string::npos) return -1.0;
   return std::atof(line.c_str() + pos + needle.size());

@@ -136,7 +136,9 @@ TEST(Sweep, MultiProtocolSharesTrace) {
     cum.kind = ProtocolKind::kCumulativeImmunity;
     return std::vector<ProtocolParams>{imm, cum};
   }();
-  const auto results = run_sweeps(scenario, protocols, 42, 2);
+  SweepBase base;
+  base.replications = 2;
+  const auto results = run_sweeps(scenario, protocols, base);
   ASSERT_EQ(results.size(), 2u);
   // Same flows, same contacts: both protocols see identical contact counts
   // at every (load, replication).
